@@ -49,6 +49,11 @@ Status FleetManager::Start() {
   if (tenants_.empty()) {
     return Status::InvalidArgument("FleetManager: no tenants");
   }
+  if (!std::isfinite(config_.fleet_budget_usd_per_hour) ||
+      config_.fleet_budget_usd_per_hour <= 0.0) {
+    return Status::InvalidArgument(
+        "FleetManager: fleet budget must be finite and positive");
+  }
   if (config_.sweep_mode == FleetConfig::SweepMode::kLockStep) {
     for (const TenantConfig& t : tenants_) {
       if (t.arbitration_period_sec > 0.0 &&

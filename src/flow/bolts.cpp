@@ -1,5 +1,7 @@
 #include "flow/bolts.h"
 
+#include <charconv>
+
 namespace flower::flow {
 
 Status WindowCountBolt::Execute(const storm::Tuple& input, SimTime now,
@@ -25,7 +27,14 @@ Status WindowCountBolt::Execute(const storm::Tuple& input, SimTime now,
 Status PersistBolt::Execute(const storm::Tuple& input, SimTime /*now*/,
                             const std::function<void(storm::Tuple)>& emit) {
   (void)emit;  // Terminal bolt: nothing downstream.
-  Status st = table_->PutItem(input.entity_id, std::to_string(input.value),
+  // Same bytes as std::to_string(double) (correctly rounded "%f"),
+  // without the printf machinery. Fits -DBL_MAX: sign, 309 integer
+  // digits, '.', 6 decimals.
+  char buf[320];
+  char* end = std::to_chars(buf, buf + sizeof(buf), input.value,
+                            std::chars_format::fixed, 6)
+                  .ptr;
+  Status st = table_->PutItem(input.entity_id, std::string(buf, end),
                               item_bytes_);
   if (st.ok()) ++persisted_;
   return st;

@@ -185,8 +185,17 @@ class JsonParser {
     SkipWs();
     if (pos_ >= text_.size()) return Err("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      // Bounds the recursion: a hostile bundle of deeply nested
+      // brackets gets an error instead of overflowing the stack.
+      if (depth_ == kMaxDepth) {
+        return Err("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return st;
+    }
     if (c == '"') {
       out->type = JsonValue::Type::kString;
       return ParseString(&out->str);
@@ -332,8 +341,11 @@ class JsonParser {
     return Status::OK();
   }
 
+  static constexpr int kMaxDepth = 256;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <utility>
 
@@ -41,8 +42,7 @@ Status Simulation::ScheduleAt(SimTime at, Callback cb) {
                                active_.end(), ev, EventBefore);
     active_.insert(it, std::move(ev));
   } else if (tick < cursor_tick_ + static_cast<int64_t>(kWheelSize)) {
-    wheel_[static_cast<size_t>(tick) & kWheelMask].push_back(std::move(ev));
-    ++wheel_count_;
+    PushToWheel(tick, std::move(ev));
   } else {
     overflow_.push(std::move(ev));
   }
@@ -95,11 +95,31 @@ void Simulation::PullOverflow() {
     // priority_queue exposes only const top(); moving out before pop is
     // safe because the comparator reads time/seq, never the callback.
     Event& top = const_cast<Event&>(overflow_.top());
-    const int64_t tick = TickOf(top.time);
-    wheel_[static_cast<size_t>(tick) & kWheelMask].push_back(std::move(top));
+    PushToWheel(TickOf(top.time), std::move(top));
     overflow_.pop();
-    ++wheel_count_;
   }
+}
+
+void Simulation::PushToWheel(int64_t tick, Event ev) {
+  const size_t b = static_cast<size_t>(tick) & kWheelMask;
+  wheel_[b].push_back(std::move(ev));
+  occupied_[b / 64] |= uint64_t{1} << (b % 64);
+  ++wheel_count_;
+}
+
+int64_t Simulation::TicksToNextOccupied() const {
+  const size_t from = static_cast<size_t>(cursor_tick_) & kWheelMask;
+  const size_t first_word = from / 64;
+  // Bits above `from` in its own word first, then the following words,
+  // wrapping round to the bits below `from` (later ticks of the lap).
+  uint64_t word = occupied_[first_word] & (~uint64_t{0} << (from % 64));
+  size_t w = first_word;
+  for (size_t i = 0; word == 0 && i < occupied_.size(); ++i) {
+    w = (w + 1) % occupied_.size();
+    word = occupied_[w];
+  }
+  const size_t next = w * 64 + static_cast<size_t>(std::countr_zero(word));
+  return static_cast<int64_t>((next - from) & kWheelMask);
 }
 
 Simulation::Event* Simulation::PeekNextUpTo(int64_t limit_tick) {
@@ -154,6 +174,8 @@ Simulation::Event* Simulation::PeekNextUpTo(int64_t limit_tick) {
       // schedules and activates without allocating.
       std::swap(active_, bucket);
       wheel_count_ -= active_.size();
+      const size_t b = static_cast<size_t>(cursor_tick_) & kWheelMask;
+      occupied_[b / 64] &= ~(uint64_t{1} << (b % 64));
       if (!std::is_sorted(active_.begin(), active_.end(), EventBefore)) {
         std::sort(active_.begin(), active_.end(), EventBefore);
       }
@@ -162,7 +184,11 @@ Simulation::Event* Simulation::PeekNextUpTo(int64_t limit_tick) {
       continue;
     }
     if (cursor_tick_ >= limit_tick) return nullptr;
-    ++cursor_tick_;
+    // Jump over the empty buckets. Every skipped tick is empty in the
+    // wheel, and events pulled from overflow on the way would land at
+    // tick >= old cursor + kWheelSize, past the target, so one pull at
+    // the target tick is equivalent to stepping tick by tick.
+    cursor_tick_ = std::min(limit_tick, cursor_tick_ + TicksToNextOccupied());
     PullOverflow();
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -51,6 +53,22 @@ TEST(FleetManagerTest, LifecycleErrors) {
   EXPECT_FALSE(fleet.RunFor(-1.0).ok());         // Negative horizon.
   FleetManager unstarted(TestConfig(1));
   EXPECT_FALSE(unstarted.RunFor(10.0).ok());     // Run before start.
+}
+
+TEST(FleetManagerTest, StartRejectsNonFiniteOrNonPositiveBudget) {
+  for (double budget : {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity(), -1.0,
+                        0.0}) {
+    FleetConfig config = TestConfig(1);
+    config.fleet_budget_usd_per_hour = budget;
+    FleetManager fleet(config);
+    TenantConfig t;
+    t.id = "solo";
+    ASSERT_TRUE(fleet.AddTenant(t).ok());
+    Status st = fleet.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "budget " << budget;
+    EXPECT_FALSE(fleet.RunFor(10.0).ok()) << "budget " << budget;
+  }
 }
 
 TEST(FleetManagerTest, PeriodsReportAndConserveBudget) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace flower::flow {
@@ -67,6 +71,47 @@ TEST(PersistBoltTest, WritesAggregateToTable) {
   auto item = table.GetItem(7, 128);
   ASSERT_TRUE(item.ok());
   EXPECT_DOUBLE_EQ(std::stod(*item), 42.0);
+}
+
+// The stored item must be byte-for-byte what std::to_string(double)
+// ("%f") produces, so persisted tables and anything derived from them
+// do not depend on how PersistBolt formats the aggregate.
+TEST(PersistBoltTest, StoredValueMatchesToStringByteForByte) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.5, -0.5, 1e-7, -1e-7, 5e-7, 4.9999995e-7, 2.5e-6,
+      0.0000015, 123456.789, -123456.789, 1e15, -1e15, 1e22, 9007199254740993.0,
+      0.1, 0.125, 2.675, 1.0000005, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (int i = -100; i <= 100; ++i) values.push_back(i);
+  // Mantissas with long binary expansions across 2^-60 .. 2^20, both
+  // signs: these exercise the rounding of the sixth decimal.
+  for (int e = -60; e <= 20; ++e) {
+    for (double m : {1.0, 1.1, 1.3333333333333333, 1.5, 1.7071067811865476,
+                     1.9999999999999998}) {
+      values.push_back(std::ldexp(m, e));
+      values.push_back(-std::ldexp(m, e));
+    }
+  }
+
+  sim::Simulation sim;
+  dynamodb::TableConfig cfg;
+  cfg.initial_wcu = cfg.max_wcu;  // One write and one read per value at t=0.
+  cfg.initial_rcu = cfg.max_rcu;
+  ASSERT_LE(values.size(), static_cast<size_t>(cfg.max_wcu));
+  dynamodb::Table table(&sim, nullptr, cfg);
+  PersistBolt bolt(&table, 128);
+  for (size_t i = 0; i < values.size(); ++i) {
+    storm::Tuple agg = Click(static_cast<int64_t>(i));
+    agg.value = values[i];
+    ASSERT_TRUE(bolt.Execute(agg, 0.0, [](storm::Tuple) {}).ok());
+    auto item = table.GetItem(static_cast<int64_t>(i), 128);
+    ASSERT_TRUE(item.ok());
+    EXPECT_EQ(*item, std::to_string(values[i])) << "value #" << i;
+  }
+  EXPECT_EQ(bolt.persisted(), values.size());
 }
 
 TEST(PersistBoltTest, PropagatesThrottleForBackpressure) {

@@ -195,6 +195,32 @@ TEST(BundleTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(obs::replay::BundleFingerprint(*loaded), loaded->fingerprint);
 }
 
+TEST(BundleTest, DeeplyNestedJsonIsRejectedWithoutCrashing) {
+  auto load = [](const std::string& text) {
+    std::string path = TempPath("nested_bundle.json");
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    auto loaded = obs::replay::LoadBundleJson(path);
+    std::remove(path.c_str());
+    return loaded.status();
+  };
+  // A million unclosed '[': unbounded recursion would overflow the stack.
+  Status deep = load(std::string(1000000, '['));
+  EXPECT_FALSE(deep.ok());
+  EXPECT_NE(deep.ToString().find("nesting"), std::string::npos) << deep;
+
+  // 256 levels still parse (and fail later, as a non-object bundle);
+  // one more trips the limit.
+  Status at_limit = load(std::string(256, '[') + std::string(256, ']'));
+  EXPECT_NE(at_limit.ToString().find("top level is not an object"),
+            std::string::npos)
+      << at_limit;
+  Status over = load(std::string(257, '[') + std::string(257, ']'));
+  EXPECT_NE(over.ToString().find("nesting"), std::string::npos) << over;
+}
+
 // --- Partition spec round-trip. ------------------------------------
 
 TEST(PartitionSpecTest, SerializeParseRoundTrip) {

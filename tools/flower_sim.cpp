@@ -300,10 +300,11 @@ int RunFleet(const tools::FlagParser& flags) {
     std::cerr << "bad numeric flag\n";
     return 2;
   }
-  if (*tenants_or < 1 || *threads_or < 1 || *budget_or <= 0.0 ||
-      *period_or <= 0.0) {
+  if (*tenants_or < 1 || *threads_or < 1 || !std::isfinite(*budget_or) ||
+      *budget_or <= 0.0 || !std::isfinite(*period_or) || *period_or <= 0.0) {
     std::cerr << "--fleet-tenants/--fleet-threads expect positive integers; "
-                 "--fleet-budget/--fleet-period expect positive numbers\n";
+                 "--fleet-budget/--fleet-period expect finite positive "
+                 "numbers\n";
     return 2;
   }
 
