@@ -6,14 +6,11 @@
 //            flow-seconds of simulation per wall second, control steps,
 //            and the work-stealing schedule counters (steals, mailbox
 //            waits, busy/wall overlap).
-//   barrier  the same homogeneous fleet under the legacy lock-step
-//            sweep: its digest must match the work-stealing one byte
-//            for byte, and its scaling curve is the PERF5 baseline.
 //   hetero   the fleet again with ApplyPeriodJitter spreading tenant
 //            arbitration horizons over 900/450/300/225 s: boundaries
-//            only partially overlap, which is where work stealing beats
-//            the barrier. The heterogeneous 4-thread speedup is the
-//            bench's headline metric.
+//            only partially overlap, so no tenant waits on boundaries
+//            it does not share. The heterogeneous 4-thread speedup is
+//            the bench's headline metric.
 //   merge    a determinism verdict: the merged control digest (every
 //            arbiter split plus every partition's decision log) must be
 //            byte-identical across thread counts, homogeneous and
@@ -22,9 +19,8 @@
 //            active grants stays within the fleet budget.
 //
 // Full-mode gates (the PR's acceptance criteria): >= 1000 concurrent
-// flows, identical digests at 1 vs 4 vs 16 threads, work-stealing ==
-// lock-step digest, conservation in every window, and >= 2x parallel
-// scaling at 4 threads on the heterogeneous fleet. Scaling gates are
+// flows, identical digests at 1 vs 4 vs 16 threads, conservation in
+// every window, and >= 2x parallel scaling at 4 threads on the heterogeneous fleet. Scaling gates are
 // hardware-aware: on hosts with fewer than 4 hardware threads they are
 // reported as an explicit SKIP verdict instead of a vacuous pass.
 // --smoke shrinks the fleet, drops the gates, and always exits 0.
@@ -65,10 +61,8 @@ struct ScaleResult {
 };
 
 fleet::FleetConfig BenchConfig(size_t num_threads, size_t flows,
-                               bool capture,
-                               fleet::FleetConfig::SweepMode mode) {
+                               bool capture) {
   fleet::FleetConfig config;
-  config.sweep_mode = mode;
   // Roughly half the fleet's aggregate demand: keeps every period
   // contended so the arbiter genuinely splits, not rubber-stamps.
   config.fleet_budget_usd_per_hour = 0.35 * static_cast<double>(flows);
@@ -83,13 +77,10 @@ fleet::FleetConfig BenchConfig(size_t num_threads, size_t flows,
   return config;
 }
 
-Result<ScaleResult> RunFleet(
-    size_t num_threads, size_t flows, double horizon_sec,
-    bool capture = false,
-    fleet::FleetConfig::SweepMode mode =
-        fleet::FleetConfig::SweepMode::kWorkStealing,
-    bool hetero = false) {
-  fleet::FleetManager manager(BenchConfig(num_threads, flows, capture, mode));
+Result<ScaleResult> RunFleet(size_t num_threads, size_t flows,
+                             double horizon_sec, bool capture = false,
+                             bool hetero = false) {
+  fleet::FleetManager manager(BenchConfig(num_threads, flows, capture));
   std::vector<fleet::TenantConfig> tenants =
       fleet::MakeTenantFleet(flows, /*seed=*/1234);
   if (hetero) fleet::ApplyPeriodJitter(&tenants, 900.0, kJitterSeed);
@@ -133,14 +124,12 @@ struct Curve {
 };
 
 Result<Curve> RunCurve(const std::vector<size_t>& thread_counts, size_t flows,
-                       double horizon_sec,
-                       fleet::FleetConfig::SweepMode mode, bool hetero,
-                       const char* tag) {
+                       double horizon_sec, bool hetero, const char* tag) {
   Curve curve;
   for (size_t threads : thread_counts) {
     FLOWER_ASSIGN_OR_RETURN(
         ScaleResult r,
-        RunFleet(threads, flows, horizon_sec, /*capture=*/false, mode, hetero));
+        RunFleet(threads, flows, horizon_sec, /*capture=*/false, hetero));
     std::cout << "  " << tag << " " << r.threads << " thread"
               << (r.threads > 1 ? "s" : " ") << ": "
               << TablePrinter::Num(r.wall_ms, 1) << " ms, "
@@ -196,8 +185,7 @@ void WriteCurveJson(std::FILE* fp, const char* key, const Curve& curve,
 }
 
 void WriteJson(std::FILE* fp, bool smoke, size_t flows, double horizon_sec,
-               const Curve& worksteal, const Curve& lockstep,
-               const Curve& hetero, bool worksteal_matches_lockstep,
+               const Curve& worksteal, const Curve& hetero,
                const RecorderOverhead& rec) {
   std::fprintf(fp, "{\n  \"bench\": \"fleet_scale\",\n");
   std::fprintf(fp, "  \"smoke\": %s,\n", smoke ? "true" : "false");
@@ -223,10 +211,7 @@ void WriteJson(std::FILE* fp, bool smoke, size_t flows, double horizon_sec,
   }
   std::fprintf(fp, "  ],\n");
   std::fprintf(fp, "  \"speedup_at_4_threads\": %.2f,\n", worksteal.speedup4);
-  WriteCurveJson(fp, "lockstep", lockstep, /*trailing_comma=*/true);
   WriteCurveJson(fp, "hetero", hetero, /*trailing_comma=*/true);
-  std::fprintf(fp, "  \"worksteal_matches_lockstep\": %s,\n",
-               worksteal_matches_lockstep ? "true" : "false");
   std::fprintf(fp,
                "  \"recorder\": {\"flows\": %zu, \"wall_ms_off\": %.1f, "
                "\"wall_ms_on\": %.1f, \"overhead_pct\": %.2f, "
@@ -259,36 +244,19 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
             << "arbitration every 900 s, " << hw
             << " hardware threads\n\n";
 
-  // Homogeneous fleet, work-stealing sweep (the default mode).
+  // Homogeneous fleet: every tenant on the 900 s period.
   auto worksteal = RunCurve(thread_counts, flows, horizon_sec,
-                            fleet::FleetConfig::SweepMode::kWorkStealing,
                             /*hetero=*/false, "steal ");
   if (!worksteal.ok()) {
     std::cerr << "fleet run failed: " << worksteal.status() << "\n";
     return 1;
   }
 
-  // The same fleet under the legacy barrier sweep: digest must match
-  // byte for byte, and its curve is the PERF5 barrier baseline. Smoke
-  // runs only the 1-thread point to bound runtime.
-  std::cout << "\n";
-  auto lockstep = RunCurve(
-      smoke ? std::vector<size_t>{1} : thread_counts, flows, horizon_sec,
-      fleet::FleetConfig::SweepMode::kLockStep, /*hetero=*/false, "barrier");
-  if (!lockstep.ok()) {
-    std::cerr << "lock-step fleet run failed: " << lockstep.status() << "\n";
-    return 1;
-  }
-  bool worksteal_matches_lockstep =
-      !worksteal->results.empty() && !lockstep->results.empty() &&
-      worksteal->results[0].digest == lockstep->results[0].digest;
-
   // Heterogeneous horizons: ApplyPeriodJitter spreads tenants over
   // 900/450/300/225 s cadences, so boundaries only partially overlap —
   // the regime the work-stealing sweep exists for.
   std::cout << "\n";
   auto hetero = RunCurve(thread_counts, flows, horizon_sec,
-                         fleet::FleetConfig::SweepMode::kWorkStealing,
                          /*hetero=*/true, "hetero ");
   if (!hetero.ok()) {
     std::cerr << "heterogeneous fleet run failed: " << hetero.status() << "\n";
@@ -345,8 +313,7 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   }
 
   if (std::FILE* fp = std::fopen(out_path.c_str(), "w")) {
-    WriteJson(fp, smoke, flows, horizon_sec, *worksteal, *lockstep, *hetero,
-              worksteal_matches_lockstep, rec);
+    WriteJson(fp, smoke, flows, horizon_sec, *worksteal, *hetero, rec);
     std::fclose(fp);
     std::cout << "  wrote " << out_path << "\n";
   } else {
@@ -357,8 +324,6 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   if (smoke) {
     bench::Verdict("merged control digest identical across thread counts",
                    worksteal->deterministic);
-    bench::Verdict("work-stealing digest matches lock-step barrier sweep",
-                   worksteal_matches_lockstep);
     bench::Verdict("heterogeneous digest identical across thread counts",
                    hetero->deterministic);
     bench::Verdict("budget conserved in every arbitration window",
@@ -374,8 +339,6 @@ int Run(bool smoke, size_t flows, const std::string& out_path) {
   ok &= bench::Verdict(
       "merged control decisions byte-identical at 1 vs 4 vs 16 threads",
       worksteal->deterministic);
-  ok &= bench::Verdict("work-stealing digest matches lock-step barrier sweep",
-                       worksteal_matches_lockstep);
   ok &= bench::Verdict(
       "heterogeneous digests byte-identical at 1 vs 4 vs 16 threads",
       hetero->deterministic);

@@ -86,7 +86,7 @@ class ThreadPool {
   /// transitively Spawn) to completion over per-worker deques. Each
   /// worker drains its own deque FIFO and steals from the other deques
   /// when empty, so partitions of unequal length overlap instead of
-  /// barriering — the fleet-sweep counterpart of ParallelFor.
+  /// barriering — the fleet sweep's counterpart of ParallelFor.
   ///
   /// The same determinism contract as ParallelFor applies: which worker
   /// runs a task (and what gets stolen) is scheduling noise, so `body`

@@ -16,22 +16,6 @@ namespace flower::fleet {
 
 /// Fleet-wide settings.
 struct FleetConfig {
-  /// How RunFor advances the fleet.
-  enum class SweepMode {
-    /// Work-stealing task sweep: each partition advances independently
-    /// to its own next arbitration boundary; the arbiter fires as an
-    /// event in virtual time when every tenant sharing a boundary has
-    /// posted demand into its budget mailbox. Supports heterogeneous
-    /// per-tenant `arbitration_period_sec`; byte-identical digests to
-    /// kLockStep for homogeneous fleets.
-    kWorkStealing,
-    /// Legacy barrier sweep: every partition advances to every fleet
-    /// period boundary in lock step. Homogeneous fleets only; kept for
-    /// regression comparison and the barrier-vs-stealing benchmark.
-    kLockStep,
-  };
-  SweepMode sweep_mode = SweepMode::kWorkStealing;
-
   /// The global hourly dollar budget the arbiter divides across
   /// tenants every arbitration period.
   double fleet_budget_usd_per_hour = 100.0;
@@ -106,19 +90,18 @@ struct FleetPeriodReport {
 
 /// Runs a fleet of independent tenant flows: one simulation partition
 /// per tenant advanced in parallel over a ThreadPool, with a global
-/// BudgetArbiter re-dividing the fleet budget at every period boundary
-/// (the fleet -> flow level of the hierarchical planner; each flow then
-/// re-plans its layers under the grant it received).
+/// BudgetArbiter re-dividing the fleet budget at every arbitration
+/// boundary (the fleet -> flow level of the hierarchical planner; each
+/// flow then re-plans its layers under the grant it received).
 ///
-/// The default sweep is work-stealing: each partition advances
-/// independently to its *own* next arbitration boundary, posts its
-/// demand into a per-partition budget mailbox, and parks until the
-/// boundary's arbitration event fires (all tenants sharing that
-/// boundary have posted). Arbitration order is a pure function of
-/// (virtual time, tenant index) and partitions share nothing, so the
-/// merged reports — and every partition's decision log — are
-/// byte-identical at any thread count, and identical to the legacy
-/// lock-step sweep for homogeneous fleets.
+/// The sweep is work-stealing: each partition advances independently to
+/// its *own* next arbitration boundary, posts its demand into a
+/// per-partition budget mailbox, and parks until the boundary's
+/// arbitration event fires (all tenants sharing that boundary have
+/// posted). Arbitration order is a pure function of (virtual time,
+/// tenant index) and partitions share nothing, so the merged reports —
+/// and every partition's decision log — are byte-identical at any
+/// thread count.
 class FleetManager {
  public:
   explicit FleetManager(FleetConfig config);
@@ -133,7 +116,8 @@ class FleetManager {
 
   /// Advances the whole fleet by `horizon_sec`, boundary by boundary,
   /// appending to reports(). Callable repeatedly; every call arbitrates
-  /// once at its start (all tenants share the start boundary).
+  /// once at its start (all tenants share the start boundary). Errors:
+  /// not started, or a negative or non-finite horizon.
   Status RunFor(double horizon_sec);
 
   /// Cumulative sweep schedule counters (see FleetSweepStats).
@@ -177,9 +161,6 @@ class FleetManager {
 
  private:
   struct SweepEngine;  // Work-stealing event engine (fleet_manager.cpp).
-
-  Status RunForLockStep(double horizon_sec);
-  Status RunForWorkStealing(double horizon_sec);
 
   FleetConfig config_;
   std::vector<TenantConfig> tenants_;

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -318,13 +317,10 @@ bool FlowPartition::TryConsumeGrant(uint64_t seq) {
   BudgetMailbox::Grant g;
   if (!mailbox_.TryReceiveGrant(seq, &g)) return false;
   SetBudget(g.grant_usd);
-  RecordGrant(g.boundary, g.demand_usd, g.grant_usd);
+  if (recorder_ != nullptr) {
+    recorder_->RecordGrant(g.boundary, g.demand_usd, g.grant_usd);
+  }
   return true;
-}
-
-void FlowPartition::RecordGrant(SimTime t, double demand_usd,
-                                double grant_usd) {
-  if (recorder_ != nullptr) recorder_->RecordGrant(t, demand_usd, grant_usd);
 }
 
 Result<obs::replay::CaptureBundle> FlowPartition::MakeBundle() const {
@@ -348,14 +344,11 @@ Status FlowPartition::DumpBundle(const std::string& path) {
 }
 
 void FlowPartition::AppendDigest(std::string* out) const {
-  char buf[192];
+  char line[obs::replay::kDecisionLineMax];
   for (const obs::ControlDecisionRecord& r :
        telemetry_->decisions().Snapshot()) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s\n",
-                  tenant_.id.c_str(), r.time, r.loop.c_str(), r.sensed_y,
-                  r.raw_u, r.clamped_u, obs::StepOutcomeToString(r.outcome));
-    *out += buf;
+    size_t len = obs::replay::FormatDecisionLine(r, line, sizeof(line));
+    out->append(tenant_.id).append(1, ' ').append(line, len).append(1, '\n');
   }
 }
 

@@ -116,12 +116,6 @@ class FlowPartition {
   void SetBudget(double usd_per_hour) { granted_budget_usd_ = usd_per_hour; }
   double granted_budget_usd() const { return granted_budget_usd_; }
 
-  /// Estimated hourly dollar demand: the controllers' latest *unclamped*
-  /// asks (raw_u) priced per layer. Unclamped so a tenant throttled by a
-  /// small grant still signals its true need to the arbiter; before the
-  /// first control step it is the provisioned resources' cost.
-  double DemandUsdPerHour() const;
-
   /// Hourly cost of the latest *applied* actuations (clamped_u priced
   /// per layer); provisioned cost before the first step.
   double SpendUsdPerHour() const;
@@ -135,7 +129,7 @@ class FlowPartition {
   double effective_period_sec() const { return effective_period_sec_; }
 
   /// Budget handoff cell between this partition and the fleet's
-  /// arbitration events (work-stealing sweep only).
+  /// arbitration events.
   BudgetMailbox& mailbox() { return mailbox_; }
   const BudgetMailbox& mailbox() const { return mailbox_; }
 
@@ -152,15 +146,10 @@ class FlowPartition {
   bool TryConsumeGrant(uint64_t seq);
 
   /// Appends this partition's canonical control-decision digest: one
-  /// line per retained decision record, formatted identically across
-  /// runs. Byte-identical digests at different thread counts are the
-  /// fleet determinism verdict.
+  /// line per retained decision record, the tenant id followed by
+  /// obs::replay::FormatDecisionLine. Byte-identical digests at
+  /// different thread counts are the fleet determinism verdict.
   void AppendDigest(std::string* out) const;
-
-  /// Mirrors one arbiter grant into the flight recorder (no-op when
-  /// capture is off). Called by the FleetManager right after each
-  /// arbitration, before the period's sweep.
-  void RecordGrant(SimTime t, double demand_usd, double grant_usd);
 
   /// Snapshot of the flight recorder as a capture bundle. NotFound when
   /// capture is disabled.
@@ -192,6 +181,12 @@ class FlowPartition {
 
  private:
   FlowPartition() = default;
+
+  /// Estimated hourly dollar demand: the controllers' latest *unclamped*
+  /// asks (raw_u) priced per layer. Unclamped so a tenant throttled by a
+  /// small grant still signals its true need to the arbiter; before the
+  /// first control step it is the provisioned resources' cost.
+  double DemandUsdPerHour() const;
 
   TenantConfig tenant_;
   CaptureConfig capture_;

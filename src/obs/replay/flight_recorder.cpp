@@ -91,18 +91,21 @@ uint64_t FlightRecorder::Fingerprint() const {
   return h;
 }
 
-void FlightRecorder::RecordDecision(const ControlDecisionRecord& record) {
-  // Canonical digest line: the same fields, formats, and order as
-  // fleet::FlowPartition::AppendDigest (minus the constant tenant
-  // prefix), so a digest match here is a digest match there.
-  char line[160];
-  int n = std::snprintf(line, sizeof(line),
+size_t FormatDecisionLine(const ControlDecisionRecord& record, char* buf,
+                          size_t size) {
+  int n = std::snprintf(buf, size,
                         "t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s",
                         record.time, record.loop.c_str(), record.sensed_y,
                         record.raw_u, record.clamped_u,
                         StepOutcomeToString(record.outcome));
-  if (n < 0) return;
-  size_t len = std::min(static_cast<size_t>(n), sizeof(line) - 1);
+  if (n < 0 || size == 0) return 0;
+  return std::min(static_cast<size_t>(n), size - 1);
+}
+
+void FlightRecorder::RecordDecision(const ControlDecisionRecord& record) {
+  char line[kDecisionLineMax];
+  size_t len = FormatDecisionLine(record, line, sizeof(line));
+  if (len == 0) return;
   uint64_t line_hash = FnvMix(kFnvOffsetBasis, line, len);
   // Seeding each line's hash with the previous chain value makes the
   // chain positional: any historical mismatch poisons every later value.

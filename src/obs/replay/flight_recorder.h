@@ -106,6 +106,18 @@ struct TriggerInfo {
 inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
 uint64_t FnvMix(uint64_t seed, const void* data, size_t len);
 
+/// Buffer size for FormatDecisionLine; longer lines are truncated.
+inline constexpr size_t kDecisionLineMax = 160;
+
+/// Formats `record` as the canonical control-decision line
+/// `t=%.3f loop=%s y=%.6f raw_u=%.6f u=%.6f out=%s` (no newline) into
+/// `buf`, truncated to `size - 1` bytes. Returns the length written, 0
+/// on a formatting error. The flight recorder hashes exactly these
+/// bytes and FlowPartition::AppendDigest prints them after the tenant
+/// id, so a digest match in one is a digest match in the other.
+size_t FormatDecisionLine(const ControlDecisionRecord& record, char* buf,
+                          size_t size);
+
 /// Bounded black box for one flow/partition: identity (tenant, seeds,
 /// span-id namespace), config spec, fault schedule, arbiter grant
 /// history, re-plan history, and the tail of the control-decision
@@ -139,9 +151,9 @@ class FlightRecorder {
 
   // --- Hot path (allocation-free). ---
 
-  /// Appends one decision: formats the canonical digest line (the same
-  /// fields as FlowPartition::AppendDigest), advances the chain hash,
-  /// and pushes a fixed-size entry into the decision ring.
+  /// Appends one decision: formats the canonical digest line
+  /// (FormatDecisionLine), advances the chain hash, and pushes a
+  /// fixed-size entry into the decision ring.
   void RecordDecision(const ControlDecisionRecord& record);
 
   // --- Period/boundary paths (allocation-free). ---

@@ -71,6 +71,20 @@ TEST(FleetManagerTest, StartRejectsNonFiniteOrNonPositiveBudget) {
   }
 }
 
+TEST(FleetManagerTest, RunForRejectsNonFiniteHorizon) {
+  std::unique_ptr<FleetManager> fleet = MakeStartedFleet(2, 1);
+  for (double horizon : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    Status st = fleet->RunFor(horizon);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "horizon " << horizon;
+  }
+  // A rejected horizon leaves the fleet untouched and still runnable.
+  EXPECT_DOUBLE_EQ(fleet->Now(), 0.0);
+  EXPECT_TRUE(fleet->reports().empty());
+  ASSERT_TRUE(fleet->RunFor(300.0).ok());
+  EXPECT_DOUBLE_EQ(fleet->Now(), 300.0);
+}
+
 TEST(FleetManagerTest, PeriodsReportAndConserveBudget) {
   std::unique_ptr<FleetManager> fleet = MakeStartedFleet(4, 1);
   ASSERT_TRUE(fleet->RunFor(600.0).ok());

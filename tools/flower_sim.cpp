@@ -84,10 +84,6 @@ Fleet mode (multi-tenant, replaces the single-flow run):
   --fleet-period=S      arbitration period, seconds              [900]
   --fleet-threads=N     simulation partitions advanced in parallel; the
                         merged control decisions are identical at any N  [1]
-  --fleet-sweep=MODE    'worksteal' (default): partitions advance to their
-                        own arbitration boundaries over a work-stealing
-                        scheduler; 'lockstep': legacy barrier sweep
-                        (homogeneous fleets only)
   --fleet-tenant-period-jitter  spread tenant arbitration horizons over
                         period/{1,2,3,4} deterministically (by --seed), so
                         boundaries only partially overlap — the regime the
@@ -301,25 +297,18 @@ int RunFleet(const tools::FlagParser& flags) {
     return 2;
   }
   if (*tenants_or < 1 || *threads_or < 1 || !std::isfinite(*budget_or) ||
-      *budget_or <= 0.0 || !std::isfinite(*period_or) || *period_or <= 0.0) {
+      *budget_or <= 0.0 || !std::isfinite(*period_or) || *period_or <= 0.0 ||
+      !std::isfinite(*hours_or) || *hours_or <= 0.0) {
     std::cerr << "--fleet-tenants/--fleet-threads expect positive integers; "
-                 "--fleet-budget/--fleet-period expect finite positive "
-                 "numbers\n";
+                 "--fleet-budget/--fleet-period/--hours expect finite "
+                 "positive numbers\n";
     return 2;
   }
 
   std::string report_out = flags.GetString("fleet-report-out", "");
   std::string capture_dir = flags.GetString("fleet-capture-dir", "");
-  std::string sweep = flags.GetString("fleet-sweep", "worksteal");
-  if (sweep != "worksteal" && sweep != "lockstep") {
-    std::cerr << "--fleet-sweep must be 'worksteal' or 'lockstep'\n";
-    return 2;
-  }
 
   fleet::FleetConfig config;
-  config.sweep_mode = sweep == "lockstep"
-                          ? fleet::FleetConfig::SweepMode::kLockStep
-                          : fleet::FleetConfig::SweepMode::kWorkStealing;
   config.fleet_budget_usd_per_hour = *budget_or;
   config.arbitration_period_sec = *period_or;
   config.num_threads = static_cast<size_t>(*threads_or);
@@ -391,7 +380,7 @@ int RunFleet(const tools::FlagParser& flags) {
             << (flags.GetBool("fleet-tenant-period-jitter")
                     ? " (jittered per tenant)"
                     : "")
-            << ", " << *threads_or << " thread(s), " << sweep << " sweep\n";
+            << ", " << *threads_or << " thread(s)\n";
   table.Print(std::cout);
   // Sweep stats are schedule observables (steals and parks vary run to
   // run at >1 thread), so they go to stderr with the other noise —
@@ -750,7 +739,7 @@ int main(int argc, char** argv) {
        "seeds", "threads", "warm-start", "stall-generations", "csv-out",
        "trace-out", "spans-out", "metrics-out", "health-out",
        "openmetrics-out", "quiet", "help", "fleet", "fleet-tenants",
-       "fleet-budget", "fleet-period", "fleet-threads", "fleet-sweep",
+       "fleet-budget", "fleet-period", "fleet-threads",
        "fleet-tenant-period-jitter", "fleet-report-out",
        "fleet-capture-dir", "fleet-fault", "replay", "decisions-out"});
   if (!unknown.empty()) {
